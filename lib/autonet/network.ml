@@ -255,23 +255,13 @@ let schedule_faults t schedule =
    in the switch hardware.  This is deliberately *not* the spec the
    Autopilot computed: invariant checkers (the chaos oracle) want to walk
    and deadlock-check the table the dataplane would really use, including
-   late host-port enables. *)
+   late host-port enables.  The copy is the installed spec plus the
+   table's one-hop entries and overlay, re-owned by the network's switch
+   index (the spec carries the index in the epoch's own graph). *)
 let loaded_spec t s =
-  let module FT = Autonet_switch.Forwarding_table in
-  let module PV = Autonet_switch.Port_vector in
-  let ft = Autopilot.forwarding_table t.pilots.(s) in
-  let entries = ref [] in
-  for in_port = FT.max_ports ft downto 0 do
-    List.iter
-      (fun (addr, (e : FT.entry)) ->
-        entries :=
-          ( (in_port, addr),
-            { Tables.broadcast = e.FT.broadcast;
-              ports = PV.to_list e.FT.vector } )
-          :: !entries)
-      (List.rev (FT.rows_of ft ~in_port))
-  done;
-  Tables.of_entries ~switch:s !entries
+  Autonet_switch.Forwarding_table.to_spec
+    (Autopilot.forwarding_table t.pilots.(s))
+    ~switch:s
 
 (* --- Measurement --- *)
 

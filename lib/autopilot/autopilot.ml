@@ -8,8 +8,6 @@ module Metrics = Autonet_telemetry.Metrics
 module Timeline = Autonet_telemetry.Timeline
 module Causal = Autonet_telemetry.Causal
 
-type flood_info = { fi_parent : int option; fi_children : int list }
-
 (* Counters resolved once at creation; shared across the network's pilots
    through the common registry.  [None] (no registry) compiles the
    instrumentation out of the receive path entirely. *)
@@ -52,7 +50,7 @@ type t = {
   mutable retransmit_timer : Engine.handle option;
   mutable on_configured : (t -> unit) option;
   mutable host_enabled : bool array;
-  mutable flood : flood_info option;
+  mutable flood : Reconfig.flood_ports option;
   mutable version : int;
   mutable advertised_version : int;
       (* the version probes and offers carry: lags [version] by the
@@ -220,11 +218,11 @@ let enable_host_port t q =
       (* Include the port in the down-phase broadcast delivery sets. *)
       match t.flood with
       | None -> ()
-      | Some { fi_parent; fi_children } ->
+      | Some { Reconfig.fl_parent; fl_children } ->
         let down_rows =
-          match fi_parent with
+          match fl_parent with
           | Some pp -> [ pp ]
-          | None -> 0 :: fi_children (* at the root, origination floods *)
+          | None -> 0 :: fl_children (* at the root, origination floods *)
         in
         List.iter
           (fun in_port ->
@@ -354,30 +352,12 @@ let make_callbacks t =
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_constant t.table));
     cb_load_tables =
-      (fun spec assignment ->
+      (fun spec flood ->
         record_event t (Event.Table_loading { constant = false });
         begin_reload t ~finish:(fun () ->
             Forwarding_table.load_spec t.table spec;
             (* Remember the flood structure for late host-port enables. *)
-            (match complete_report t with
-            | Some report -> begin
-              let g = Topology_report.to_graph report in
-              match Graph.switch_of_uid g t.sw_uid with
-              | Some me ->
-                let tree = Spanning_tree.compute g ~member:me in
-                let fi_parent =
-                  match Spanning_tree.parent tree me with
-                  | Some p -> Some p.Spanning_tree.my_port
-                  | None -> None
-                in
-                let fi_children =
-                  List.map (fun (p, _, _) -> p) (Spanning_tree.children tree me)
-                in
-                t.flood <- Some { fi_parent; fi_children }
-              | None -> ()
-            end
-            | None -> ());
-            ignore assignment;
+            t.flood <- Some flood;
             (match t.causal with
             | Some c ->
               Causal.tables_loaded c ~sw:t.sw ~epoch:(causal_epoch t)

@@ -2,10 +2,12 @@ open Autonet_net
 open Autonet_core
 module Position = Spanning_tree.Position
 
+type flood_ports = { fl_parent : int option; fl_children : int list }
+
 type callbacks = {
   cb_send : port:int -> Messages.t -> unit;
   cb_load_constant : unit -> unit;
-  cb_load_tables : Tables.spec -> Address_assign.t -> unit;
+  cb_load_tables : Tables.spec -> flood_ports -> unit;
   cb_configured : unit -> unit;
   cb_log : Event.t -> unit;
   cb_mark : Autonet_telemetry.Timeline.kind -> unit;
@@ -165,6 +167,14 @@ let finish_configuration t report =
       in
       t.my_number <- Address_assign.number assignment me;
       t.last_assignment <- Some assignment;
+      let flood =
+        { fl_parent =
+            Option.map
+              (fun p -> p.Spanning_tree.my_port)
+              (Spanning_tree.parent tree me);
+          fl_children =
+            List.map (fun (p, _, _) -> p) (Spanning_tree.children tree me) }
+      in
       let span name dur_s = t.callbacks.cb_span ~name ~dur_s in
       let pool =
         if is_root t then Some (Autonet_parallel.Pool.default ()) else None
@@ -230,7 +240,7 @@ let finish_configuration t report =
         t.committed <- Some committed';
         t.delta_spec <- Some committed'.Delta.c_own;
         mark t Autonet_telemetry.Timeline.Load_begin;
-        t.callbacks.cb_load_tables committed'.Delta.c_own assignment
+        t.callbacks.cb_load_tables committed'.Delta.c_own flood
       | None ->
         let updown = Updown.orient g tree in
         let routes = Routes.compute g tree updown in
@@ -268,7 +278,7 @@ let finish_configuration t report =
                ~own:spec ~all);
         t.delta_spec <- None;
         mark t Autonet_telemetry.Timeline.Load_begin;
-        t.callbacks.cb_load_tables spec assignment)
+        t.callbacks.cb_load_tables spec flood)
   end;
   (* Flood the complete topology to every claiming child that has not
      acknowledged it yet — including children whose claim arrived after we

@@ -25,12 +25,20 @@
 open Autonet_net
 open Autonet_core
 
+type flood_ports = {
+  fl_parent : int option;  (** the port toward the parent; [None] at the root *)
+  fl_children : int list;  (** the ports toward the children *)
+}
+(** This switch's ports on the epoch's spanning tree: where a broadcast
+    arrives from and floods to. *)
+
 type callbacks = {
   cb_send : port:int -> Messages.t -> unit;
   cb_load_constant : unit -> unit;
       (** begin the step-1 destructive reload *)
-  cb_load_tables : Tables.spec -> Address_assign.t -> unit;
-      (** begin the step-5 destructive reload *)
+  cb_load_tables : Tables.spec -> flood_ports -> unit;
+      (** begin the step-5 destructive reload of the spec; the flood
+          ports come from the tree step 5 already computed *)
   cb_configured : unit -> unit;
       (** the step-5 reload finished; open for business *)
   cb_log : Event.t -> unit;

@@ -83,6 +83,24 @@ let iter t ~f =
     (fun k e -> f ~in_port:(k land 0xF) ~dst:(Short_address.of_int (k lsr 4)) e)
     t.sparse
 
+(* The keys of one row are every 16th dense slot, then the row's sparse
+   keys; every sparse key lies at or above [Array.length dense] (only
+   [add_entry] writes there), so the two runs concatenate in order. *)
+let iter_row t ~in_port ~f =
+  let dense = t.dense in
+  let k = ref in_port in
+  while !k < Array.length dense do
+    let e = dense.(!k) in
+    if e != discard then f (Short_address.of_int (!k lsr 4)) e;
+    k := !k + 16
+  done;
+  if Hashtbl.length t.sparse > 0 then
+    Hashtbl.fold
+      (fun k e acc -> if k land 0xF = in_port then (k lsr 4, e) :: acc else acc)
+      t.sparse []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (a, e) -> f (Short_address.of_int a) e)
+
 type route_mode = Minimal_routes | All_legal_routes
 
 (* The in-ports of a switch that can actually receive a packet: the control
@@ -118,6 +136,26 @@ let add_entry t ~in_port ~addr e =
       Hashtbl.replace t.sparse k e
     end
   end
+
+let remove_key t k =
+  if k < Array.length t.dense then begin
+    if t.dense.(k) != discard then begin
+      t.dense.(k) <- discard;
+      t.count <- t.count - 1
+    end
+  end
+  else if Hashtbl.mem t.sparse k then begin
+    Hashtbl.remove t.sparse k;
+    t.count <- t.count - 1
+  end
+
+(* A private copy of [prev] owned by [switch]: the copy-on-write step of
+   [patch] and [amend], which never touch [prev] itself. *)
+let copy_as prev ~switch =
+  { spec_switch = switch;
+    dense = Array.copy prev.dense;
+    sparse = Hashtbl.copy prev.sparse;
+    count = prev.count }
 
 (* The constant (0x0000, one-hop, loopback) and broadcast rows, shared by
    the fast and reference builders: they are a few dozen entries and were
@@ -293,12 +331,7 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
      shifted.  The copied table content is keyed by switch number, which
      the delta classifier proved stable, so only the identity needs
      remapping. *)
-  let spec =
-    { spec_switch = s;
-      dense = Array.copy prev.dense;
-      sparse = Hashtbl.copy prev.sparse;
-      count = prev.count }
-  in
+  let spec = copy_as prev ~switch:s in
   (* Strip every entry of a departed switch number: a fresh build of this
      switch writes nothing at those addresses.  Assigned numbers are >= 1,
      so their 256-key blocks never overlap the constant and one-hop rows
@@ -308,17 +341,7 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
       for q = 0 to 15 do
         let base_k = ((number lsl 4) lor q) lsl 4 in
         for p = 0 to 15 do
-          let k = base_k lor p in
-          if k < Array.length spec.dense then begin
-            if spec.dense.(k) != discard then begin
-              spec.dense.(k) <- discard;
-              spec.count <- spec.count - 1
-            end
-          end
-          else if Hashtbl.mem spec.sparse k then begin
-            Hashtbl.remove spec.sparse k;
-            spec.count <- spec.count - 1
-          end
+          remove_key spec (base_k lor p)
         done
       done)
     removed_numbers;
@@ -365,6 +388,19 @@ let patch ?(mode = Minimal_routes) g updown routes assignment ~prev
         end)
       added_dests
   end;
+  spec
+
+let amend prev ~switch edits =
+  let spec = copy_as prev ~switch in
+  List.iter
+    (fun ((in_port, addr), edit) ->
+      (* Remove first: [add_entry] skips empty-port entries, which must
+         still shadow whatever [prev] held at the key. *)
+      remove_key spec (key ~in_port ~addr);
+      match edit with
+      | Some e -> add_entry spec ~in_port ~addr e
+      | None -> ())
+    edits;
   spec
 
 let equal_spec a b =

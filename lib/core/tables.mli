@@ -44,6 +44,11 @@ val iter : spec -> f:(in_port:Graph.port -> dst:Short_address.t -> entry -> unit
     an intermediate list — the iteration the deadlock checker's edge
     generation runs on every entry of every spec. *)
 
+val iter_row :
+  spec -> in_port:Graph.port -> f:(Short_address.t -> entry -> unit) -> unit
+(** The entries of one receiving port, ascending by address: a strided
+    walk of that row alone, not a fold over the whole table. *)
+
 type route_mode =
   | Minimal_routes  (** only minimal-length legal routes (paper's choice) *)
   | All_legal_routes (** every legal continuation; ablation A1 *)
@@ -74,6 +79,14 @@ val patch :
     provided the switch's receiving ports, arrival phases and minimal
     next-hop sets toward every surviving destination are unchanged — the
     precondition {!Delta} establishes before choosing to patch. *)
+
+val amend :
+  spec -> switch:Graph.switch ->
+  ((Graph.port * Short_address.t) * entry option) list -> spec
+(** A copy of the spec owned by [switch], with the edits applied in
+    order: [Some e] replaces the entry at the key ([e] with no ports
+    removes it, as a missing entry already means discard), [None] removes
+    it.  [prev] is left untouched. *)
 
 val equal_spec : spec -> spec -> bool
 (** Lookup equivalence: same switch and same non-discard entries,

@@ -256,6 +256,94 @@ let test_host_ports_classified () =
         (st = Autonet_autopilot.Port_state.Host))
     (Graph.hosts g)
 
+(* [loaded_spec] must be exactly the table the switch holds after
+   post-load writes: rebuild each switch's spec key by key from
+   [Forwarding_table.lookup] (every address that can carry an entry, from
+   every receiving port) and compare.  A late host-port enable and a
+   host-port disable put entries and tombstones into the table's
+   overlay: this is what the chaos oracle's deadlock check and [Verify]
+   walks read. *)
+let test_loaded_spec_with_overlay topo () =
+  let module FT = Autonet_switch.Forwarding_table in
+  let module PV = Autonet_switch.Port_vector in
+  let module Fabric = Autonet_autopilot.Fabric in
+  let module PS = Autonet_autopilot.Port_state in
+  let t = N.create ~params:Autonet_autopilot.Params.fast ~seed:3L topo in
+  let g = N.graph t in
+  let late = List.hd (Graph.hosts g) in
+  let gone =
+    List.find
+      (fun (h : Graph.host_attachment) -> h.switch <> late.switch)
+      (Graph.hosts g)
+  in
+  let late_ep = (late.switch, late.switch_port)
+  and gone_ep = (gone.switch, gone.switch_port) in
+  Fabric.power_off_host (N.fabric t) late_ep;
+  N.start t;
+  ignore (converge t);
+  N.run_for t (Time.s 1);
+  let state (s, p) = AP.port_state (N.autopilot t s) ~port:p in
+  check_bool "late port not a host yet" true (state late_ep <> PS.Host);
+  check_bool "other port a host" true (state gone_ep = PS.Host);
+  Fabric.power_on_host (N.fabric t) late_ep;
+  Fabric.set_host_active (N.fabric t) late_ep true;
+  (* A powered-off host still looks healthy to the status sampler (the
+     cable reflects), so pull the port down as a cable fault would. *)
+  Fabric.power_off_host (N.fabric t) gone_ep;
+  AP.force_port_dead (N.autopilot t gone.switch) ~port:gone.switch_port;
+  N.run_for t (Time.s 3);
+  check_bool "late port enabled" true (state late_ep = PS.Host);
+  check_bool "other port disabled" true (state gone_ep <> PS.Host);
+  let max_number =
+    List.fold_left
+      (fun m s -> max m (Option.value ~default:0 (AP.switch_number (N.autopilot t s))))
+      0 (Graph.switches g)
+  in
+  let addrs =
+    List.init 16 Fun.id
+    @ List.init ((max_number + 1) * 16) (fun a -> a + 16)
+    @ List.init 16 (fun i -> 0xFFF0 + i)
+  in
+  List.iter
+    (fun s ->
+      let ft = AP.forwarding_table (N.autopilot t s) in
+      let entries =
+        List.concat_map
+          (fun in_port ->
+            List.filter_map
+              (fun a ->
+                let dst = Autonet_net.Short_address.of_int a in
+                let e = FT.lookup ft ~in_port ~dst in
+                if PV.is_empty e.FT.vector then None
+                else
+                  Some
+                    ( (in_port, dst),
+                      { Tables.broadcast = e.FT.broadcast;
+                        ports = PV.to_list e.FT.vector } ))
+              addrs)
+          (List.init (FT.max_ports ft + 1) Fun.id)
+      in
+      check_bool
+        (Printf.sprintf "switch %d: loaded spec = lookups" s)
+        true
+        (Tables.equal_spec (N.loaded_spec t s)
+           (Tables.of_entries ~switch:s entries)))
+    (Graph.switches g);
+  (* The overlay really is in play: the late port's address delivers to
+     it from the control processor; the disabled port's is gone. *)
+  let addr_of (s, p) =
+    Autonet_net.Short_address.assigned
+      ~switch_number:(Option.get (AP.switch_number (N.autopilot t s)))
+      ~port:p
+  in
+  let out (s, _) dst =
+    PV.to_list
+      (FT.lookup (AP.forwarding_table (N.autopilot t s)) ~in_port:0 ~dst).FT.vector
+  in
+  Alcotest.(check (list int)) "late delivery" [ snd late_ep ]
+    (out late_ep (addr_of late_ep));
+  Alcotest.(check (list int)) "disabled delivery" [] (out gone_ep (addr_of gone_ep))
+
 let test_merged_log_is_chronological () =
   let t = make (B.ring ~n:4 ()) in
   ignore (converge t);
@@ -395,6 +483,12 @@ let () =
           Alcotest.test_case "loop links excluded" `Quick test_loop_link_excluded;
           Alcotest.test_case "host ports classified" `Quick
             test_host_ports_classified;
+          Alcotest.test_case "loaded spec with overlay (src)" `Quick
+            (test_loaded_spec_with_overlay (B.src_service_lan ()));
+          Alcotest.test_case "loaded spec with overlay (torus:4,4)" `Quick
+            (test_loaded_spec_with_overlay
+               (B.attach_hosts ~dual_homed:false (B.torus ~rows:4 ~cols:4 ())
+                  ~per_switch:2));
           Alcotest.test_case "merged log chronological" `Quick
             test_merged_log_is_chronological;
           Alcotest.test_case "preset ladder" `Slow test_reconfig_presets_ladder ] );

@@ -2,6 +2,9 @@
    table, the first-come first-considered scheduler and the crossbar. *)
 
 open Autonet_net
+open Autonet_core
+module B = Autonet_topo.Builders
+module Rng = Autonet_sim.Rng
 module PV = Autonet_switch.Port_vector
 module FT = Autonet_switch.Forwarding_table
 module Sch = Autonet_switch.Scheduler
@@ -93,6 +96,240 @@ let test_ft_unset_and_rows () =
   FT.unset t ~in_port:1 ~dst:(addr 0x10);
   check_int "one left" 1 (List.length (FT.rows_of t ~in_port:1));
   check_bool "no row elsewhere" false (FT.has_row t ~in_port:2)
+
+(* The table a load used to copy entries into: one hashtable keyed by
+   (in-port, address) tuples, cleared and refilled on every load.  Kept
+   here as the reference model the installed-spec table must agree with
+   on every observable. *)
+module Model = struct
+  type t = {
+    ports : int;
+    entries : (int * int, FT.entry) Hashtbl.t;
+    mutable gen : int;
+  }
+
+  let create ~max_ports = { ports = max_ports; entries = Hashtbl.create 512; gen = 0 }
+  let generation t = t.gen
+
+  let set t ~in_port ~dst entry =
+    if in_port < 0 || in_port > t.ports then
+      invalid_arg "Forwarding_table.set: in_port out of range";
+    Hashtbl.replace t.entries (in_port, Short_address.to_int dst) entry
+
+  let lookup t ~in_port ~dst =
+    match Hashtbl.find_opt t.entries (in_port, Short_address.to_int dst) with
+    | Some e -> e
+    | None -> FT.discard_entry
+
+  let unset t ~in_port ~dst =
+    Hashtbl.remove t.entries (in_port, Short_address.to_int dst)
+
+  let has_row t ~in_port =
+    Hashtbl.fold (fun (p, _) _ acc -> acc || p = in_port) t.entries false
+
+  let rows_of t ~in_port =
+    Hashtbl.fold
+      (fun (p, a) e acc -> if p = in_port then (a, e) :: acc else acc)
+      t.entries []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (a, e) -> (Short_address.of_int a, e))
+
+  let clear t =
+    Hashtbl.reset t.entries;
+    t.gen <- t.gen + 1
+
+  let install_one_hop t =
+    for k = 1 to t.ports do
+      let dst = Short_address.one_hop ~port:k in
+      set t ~in_port:0 ~dst { vector = PV.singleton k; broadcast = false };
+      for p = 1 to t.ports do
+        set t ~in_port:p ~dst { vector = PV.singleton 0; broadcast = false }
+      done
+    done
+
+  let load_constant t =
+    clear t;
+    install_one_hop t
+
+  let load_spec t spec =
+    clear t;
+    install_one_hop t;
+    Tables.fold spec ~init:() ~f:(fun () ~in_port ~dst e ->
+        set t ~in_port ~dst
+          { vector = PV.of_list e.Tables.ports; broadcast = e.Tables.broadcast })
+
+  let entry_count t = Hashtbl.length t.entries
+end
+
+let of_spec_entry (e : Tables.entry) =
+  { FT.vector = PV.of_list e.Tables.ports; broadcast = e.Tables.broadcast }
+
+let test_ft_spec_load_shares () =
+  (* A load installs the spec without copying or mutating it, and a
+     post-load write shadows the spec only in the table. *)
+  let c = Testlib.configure (B.attach_hosts (B.ring ~n:4 ()) ~per_switch:2) in
+  let spec = List.hd c.Testlib.specs in
+  let before = Tables.entry_count spec in
+  let t = FT.create ~max_ports:(Graph.max_ports c.Testlib.graph) in
+  FT.load_spec t spec;
+  let dst = Address_assign.address c.Testlib.assignment 1 0 in
+  let from_spec = Tables.lookup spec ~in_port:0 ~dst in
+  check_bool "spec entry read" true
+    (FT.lookup t ~in_port:0 ~dst = of_spec_entry from_spec);
+  FT.unset t ~in_port:0 ~dst;
+  check_bool "unset hides it" true (FT.lookup t ~in_port:0 ~dst = FT.discard_entry);
+  check_bool "spec untouched" true
+    (Tables.equal_entry (Tables.lookup spec ~in_port:0 ~dst) from_spec);
+  check_int "spec count untouched" before (Tables.entry_count spec);
+  FT.load_spec t spec;
+  check_bool "reload restores it" true
+    (FT.lookup t ~in_port:0 ~dst = of_spec_entry from_spec)
+
+let test_ft_tombstoned_row_empty () =
+  (* Unsetting every entry of a loaded row (what a host-port disable
+     does) leaves no row, so a later enable copies row 0 again. *)
+  let t = FT.create ~max_ports:12 in
+  FT.load_constant t;
+  List.iter (fun (dst, _) -> FT.unset t ~in_port:3 ~dst) (FT.rows_of t ~in_port:3);
+  check_bool "constant row gone" false (FT.has_row t ~in_port:3);
+  check_int "count" (12 * 13 - 12) (FT.entry_count t);
+  let c = Testlib.configure (B.attach_hosts (B.ring ~n:4 ()) ~per_switch:2) in
+  let spec = List.hd c.Testlib.specs in
+  FT.load_spec t spec;
+  let host_port =
+    (List.find
+       (fun (h : Graph.host_attachment) -> h.switch = Tables.switch spec)
+       (Graph.hosts c.Testlib.graph)).switch_port
+  in
+  check_bool "host row loaded" true (FT.has_row t ~in_port:host_port);
+  List.iter
+    (fun (dst, _) -> FT.unset t ~in_port:host_port ~dst)
+    (FT.rows_of t ~in_port:host_port);
+  check_bool "host row gone" false (FT.has_row t ~in_port:host_port);
+  check_bool "rows empty" true (FT.rows_of t ~in_port:host_port = [])
+
+type ft_op =
+  | Create
+  | Load_constant
+  | Load_spec of int
+  | Set of int * int * FT.entry
+  | Unset of int * int
+  | Unset_row of int
+  | Clear
+
+let pp_op ppf = function
+  | Create -> Format.fprintf ppf "create"
+  | Load_constant -> Format.fprintf ppf "load_constant"
+  | Load_spec i -> Format.fprintf ppf "load_spec %d" i
+  | Set (p, a, e) ->
+    Format.fprintf ppf "set %d 0x%04x %a%s" p a PV.pp e.FT.vector
+      (if e.FT.broadcast then " bcast" else "")
+  | Unset (p, a) -> Format.fprintf ppf "unset %d 0x%04x" p a
+  | Unset_row p -> Format.fprintf ppf "unset_row %d" p
+  | Clear -> Format.fprintf ppf "clear"
+
+(* Random op sequences over the specs of a random topology: after every
+   step the table and the model agree on every observable, for every key
+   the specs, the one-hop rule or the overlay writes can produce. *)
+let ft_matches_model =
+  QCheck.Test.make ~name:"installed-spec table agrees with the hashtable model"
+    ~count:60 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed:(Int64.of_int seed) in
+      let c = Testlib.configure (Testlib.random_topology rng ~max_n:5) in
+      let ports = Graph.max_ports c.Testlib.graph in
+      let specs = Array.of_list c.Testlib.specs in
+      let spec_addrs =
+        Array.fold_left
+          (fun acc spec ->
+            Tables.fold spec ~init:acc ~f:(fun acc ~in_port:_ ~dst _ ->
+                Short_address.to_int dst :: acc))
+          [] specs
+      in
+      let addrs =
+        ref
+          (List.sort_uniq Int.compare
+             (spec_addrs @ List.init (ports + 1) Fun.id @ [ 0xFFFC; 0xFFF0 ]))
+      in
+      let pick_addr () =
+        if Rng.int rng 8 = 0 then Rng.int rng 0x10000
+        else List.nth !addrs (Rng.int rng (List.length !addrs))
+      in
+      let random_op () =
+        match Rng.int rng 20 with
+        | 0 -> Create
+        | 1 | 2 -> Load_constant
+        | 3 | 4 | 5 -> Load_spec (Rng.int rng (Array.length specs))
+        | 6 -> Clear
+        | 7 | 8 | 9 | 10 | 11 | 12 ->
+          let vector =
+            PV.of_list (List.init (Rng.int rng 3) (fun _ -> Rng.int rng (ports + 1)))
+          in
+          Set (Rng.int rng (ports + 1), pick_addr (), { vector; broadcast = Rng.bool rng })
+        | 13 -> Unset_row (Rng.int rng (ports + 1))
+        | _ -> Unset (Rng.int rng (ports + 2), pick_addr ())
+      in
+      let t = ref (FT.create ~max_ports:ports)
+      and m = ref (Model.create ~max_ports:ports) in
+      let steps = ref [] in
+      let fail fmt =
+        QCheck.Test.fail_reportf
+          ("seed %d after [%a]: " ^^ fmt) seed
+          Format.(pp_print_list ~pp_sep:(fun ppf () -> fprintf ppf "; ") pp_op)
+          (List.rev !steps)
+      in
+      for _ = 1 to 25 do
+        let op = random_op () in
+        steps := op :: !steps;
+        let g_t = FT.generation !t and g_m = Model.generation !m in
+        (match op with
+        | Create ->
+          t := FT.create ~max_ports:ports;
+          m := Model.create ~max_ports:ports
+        | Load_constant -> FT.load_constant !t; Model.load_constant !m
+        | Load_spec i ->
+          FT.load_spec !t specs.(i);
+          Model.load_spec !m specs.(i);
+          Tables.iter specs.(i) ~f:(fun ~in_port ~dst e ->
+              if FT.lookup !t ~in_port ~dst <> of_spec_entry e then
+                fail "lookup %d %a differs from Tables.lookup" in_port
+                  Short_address.pp dst)
+        | Set (p, a, e) ->
+          let dst = Short_address.of_int a in
+          FT.set !t ~in_port:p ~dst e;
+          Model.set !m ~in_port:p ~dst e;
+          if not (List.mem a !addrs) then addrs := a :: !addrs
+        | Unset (p, a) ->
+          let dst = Short_address.of_int a in
+          FT.unset !t ~in_port:p ~dst;
+          Model.unset !m ~in_port:p ~dst
+        | Unset_row p ->
+          (* A host-port disable: every entry of the row goes. *)
+          List.iter (fun (dst, _) -> FT.unset !t ~in_port:p ~dst) (FT.rows_of !t ~in_port:p);
+          List.iter
+            (fun (dst, _) -> Model.unset !m ~in_port:p ~dst)
+            (Model.rows_of !m ~in_port:p)
+        | Clear -> FT.clear !t; Model.clear !m);
+        let bumped_t = FT.generation !t <> g_t
+        and bumped_m = Model.generation !m <> g_m in
+        if op <> Create && bumped_t <> bumped_m then fail "generation";
+        if FT.entry_count !t <> Model.entry_count !m then
+          fail "entry_count %d, model %d" (FT.entry_count !t)
+            (Model.entry_count !m);
+        for in_port = 0 to ports + 1 do
+          if FT.has_row !t ~in_port <> Model.has_row !m ~in_port then
+            fail "has_row %d" in_port;
+          if FT.rows_of !t ~in_port <> Model.rows_of !m ~in_port then
+            fail "rows_of %d" in_port;
+          List.iter
+            (fun a ->
+              let dst = Short_address.of_int a in
+              if FT.lookup !t ~in_port ~dst <> Model.lookup !m ~in_port ~dst
+              then fail "lookup %d 0x%04x" in_port a)
+            !addrs
+        done
+      done;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -231,28 +468,6 @@ let test_xb_release_input () =
   XB.release_input x ~in_port:1;
   check_bool "both gone" true (PV.to_list (XB.busy_outputs x) = [ 5 ])
 
-(* ------------------------------------------------------------------ *)
-(* Status bits *)
-
-let test_status_bits_accumulate_and_clear () =
-  let sb = Autonet_switch.Status_bits.create () in
-  Autonet_switch.Status_bits.note_bad_code sb;
-  Autonet_switch.Status_bits.note_start sb;
-  let a = Autonet_switch.Status_bits.read_accumulated sb in
-  check_bool "bad code" true a.Autonet_switch.Status_bits.bad_code;
-  check_bool "start seen" true a.Autonet_switch.Status_bits.start_seen;
-  check_bool "overflow clear" false a.Autonet_switch.Status_bits.overflow;
-  (* Reading cleared the bits. *)
-  let b = Autonet_switch.Status_bits.read_accumulated sb in
-  check_bool "cleared" false b.Autonet_switch.Status_bits.bad_code
-
-let test_status_bits_current_not_cleared () =
-  let sb = Autonet_switch.Status_bits.create () in
-  Autonet_switch.Status_bits.set_is_host sb true;
-  ignore (Autonet_switch.Status_bits.read_accumulated sb);
-  check_bool "level bit stays" true
-    (Autonet_switch.Status_bits.current sb).Autonet_switch.Status_bits.is_host
-
 let () =
   Alcotest.run "switch"
     [ ( "port_vector",
@@ -265,7 +480,12 @@ let () =
           Alcotest.test_case "set/lookup" `Quick test_ft_set_lookup;
           Alcotest.test_case "one-hop constant" `Quick test_ft_one_hop_constant;
           Alcotest.test_case "generation" `Quick test_ft_generation_bumps;
-          Alcotest.test_case "unset and rows" `Quick test_ft_unset_and_rows ] );
+          Alcotest.test_case "unset and rows" `Quick test_ft_unset_and_rows;
+          Alcotest.test_case "spec load shares the spec" `Quick
+            test_ft_spec_load_shares;
+          Alcotest.test_case "tombstoned row is empty" `Quick
+            test_ft_tombstoned_row_empty;
+          QCheck_alcotest.to_alcotest ft_matches_model ] );
       ( "scheduler",
         [ Alcotest.test_case "alternative lowest" `Quick test_sched_alternative_lowest;
           Alcotest.test_case "head of line" `Quick test_sched_head_of_line;
@@ -283,9 +503,4 @@ let () =
         [ Alcotest.test_case "connect/release" `Quick test_xb_connect_release;
           Alcotest.test_case "busy refused" `Quick test_xb_busy_refused;
           Alcotest.test_case "free outputs" `Quick test_xb_free_outputs;
-          Alcotest.test_case "release input" `Quick test_xb_release_input ] );
-      ( "status_bits",
-        [ Alcotest.test_case "accumulate and clear" `Quick
-            test_status_bits_accumulate_and_clear;
-          Alcotest.test_case "current persists" `Quick
-            test_status_bits_current_not_cleared ] ) ]
+          Alcotest.test_case "release input" `Quick test_xb_release_input ] ) ]
